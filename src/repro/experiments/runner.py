@@ -235,9 +235,11 @@ class ExperimentSetup:
                    shots: int) -> ShotCounts:
         """Load the binary and stream N shots into an aggregate.
 
-        Unlike :meth:`run`, memory stays O(qubits): traces are folded
-        into a :class:`~repro.uarch.trace.ShotCounts` as the machine
-        produces them (replay fast path included).
+        Unlike :meth:`run`, memory stays O(qubits): the machine folds
+        each batch of outcome rows into a
+        :class:`~repro.uarch.trace.ShotCounts` as its engine produces
+        it, without building a per-shot trace on the replay and
+        Pauli-frame paths.
         """
         self.machine.load(assembled)
         return self.machine.run_counts(shots)

@@ -37,8 +37,11 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import OrderedDict
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
+
+import numpy as np
 
 from repro.core.assembler import AssembledProgram
 from repro.core.encoding import InstructionDecoder
@@ -104,12 +107,12 @@ from repro.uarch.replay import (
     MeasurementSample,
     ReplayAudit,
     TimelineTree,
-    replay_unsupported_reason,
     replay_unsupported_reasons,
 )
 
 from repro.uarch.trace import (
     ResultRecord,
+    ShotBatch,
     ShotCounts,
     ShotTrace,
     SlipRecord,
@@ -407,10 +410,14 @@ class QuMAv2:
         :meth:`run`), so high-shot callers can aggregate on the fly
         instead of holding every trace in memory.
 
-        Engine metadata (:attr:`last_run_engine`,
-        :attr:`replay_fallback_reason`, :attr:`engine_stats`) is set
-        when the first trace is produced, since generators run on
-        demand; :attr:`engine_stats` keeps updating as shots are drawn.
+        The engines produce :class:`~repro.uarch.trace.ShotBatch`
+        outcome rows; each trace is spliced from its batch only when
+        the consumer asks for it, so memory stays O(batch) — one
+        Pauli-frame chunk at most.  Engine metadata
+        (:attr:`last_run_engine`, :attr:`replay_fallback_reason`,
+        :attr:`engine_stats`) is set when the first trace is produced,
+        since generators run on demand; the delivered-shot counters of
+        :attr:`engine_stats` count exactly the traces yielded so far.
 
         With an attached :attr:`observability` handle the whole run is
         wrapped in a ``machine.run`` span, phase spans mark backend
@@ -418,20 +425,60 @@ class QuMAv2:
         in ``engine.*.time_ns`` histograms, and the finished run's
         :class:`EngineStats` fold into the metrics registry.
         """
+        with closing(self._shot_batches(shots, max_instructions,
+                                        use_replay)) as batches:
+            for batch in batches:
+                stats = self.engine_stats
+                for trace in batch.traces():
+                    stats.count_delivered(batch.engine, 1)
+                    yield trace
+
+    def run_counts(self, shots: int, max_instructions: int = 2_000_000,
+                   use_replay: bool = True) -> ShotCounts:
+        """Execute ``shots`` shots and return the streaming aggregate.
+
+        Runs the same engine generator as :meth:`run_iter`, but folds
+        each :class:`~repro.uarch.trace.ShotBatch` straight from its
+        outcome rows (:meth:`ShotCounts.add_batch`): no per-shot trace
+        is built on the replay or Pauli-frame paths, and memory stays
+        O(batch).  The aggregate, the random stream and the final
+        :attr:`engine_stats` are exactly those of folding
+        :meth:`run_iter`'s traces.  With tracing on, each vectorised
+        fold is one ``machine.counts.fold`` span.
+        """
+        counts = ShotCounts()
+        obs = self._obs
+        for batch in self._shot_batches(shots, max_instructions,
+                                        use_replay):
+            if obs is not None and isinstance(batch.rows, np.ndarray):
+                fold_start = obs.clock()
+                counts.add_batch(batch)
+                obs.tracer.record_span("machine.counts.fold", fold_start,
+                                       obs.clock(), shots=len(batch))
+            else:
+                counts.add_batch(batch)
+            self.engine_stats.count_delivered(batch.engine, len(batch))
+        return counts
+
+    def _shot_batches(self, shots: int, max_instructions: int,
+                      use_replay: bool) -> Iterator[ShotBatch]:
+        """The run's batch stream, shared by :meth:`run_iter` and
+        :meth:`run_counts`: the selected engine's generator, wrapped in
+        a ``machine.run`` span when observability is attached."""
         obs = self._obs
         if obs is None:
-            return self._run_iter_impl(shots, max_instructions,
+            return self._select_engine(shots, max_instructions,
                                        use_replay)
-        return self._run_iter_traced(shots, max_instructions,
-                                     use_replay, obs)
+        return self._traced_batches(shots, max_instructions, use_replay,
+                                    obs)
 
-    def _run_iter_traced(self, shots: int, max_instructions: int,
-                         use_replay: bool, obs) -> Iterator[ShotTrace]:
+    def _traced_batches(self, shots: int, max_instructions: int,
+                        use_replay: bool, obs) -> Iterator[ShotBatch]:
         """The traced run wrapper: one root span per run, engine stats
         published on completion (including generator abandonment)."""
         span = obs.begin("machine.run", shots=shots)
         try:
-            yield from self._run_iter_impl(shots, max_instructions,
+            yield from self._select_engine(shots, max_instructions,
                                            use_replay)
         finally:
             stats = self.engine_stats
@@ -439,8 +486,14 @@ class QuMAv2:
             obs.end(span, engine=stats.engine,
                     plant_backend=stats.plant_backend)
 
-    def _run_iter_impl(self, shots: int, max_instructions: int,
-                       use_replay: bool) -> Iterator[ShotTrace]:
+    def _select_engine(self, shots: int, max_instructions: int,
+                       use_replay: bool) -> Iterator[ShotBatch]:
+        """Select the engine and backend for one run and return the
+        engine's batch generator (called when the run starts, so no
+        ``yield from`` hop sits between the engine and its consumer).
+        The consumer counts delivered shots
+        (:meth:`EngineStats.count_delivered`); everything else in
+        :attr:`engine_stats` is kept by the engine."""
         stats = EngineStats()
         self.engine_stats = stats
         self._audit_credit = 0.0
@@ -455,7 +508,7 @@ class QuMAv2:
             self.replay_fallback_reason = None
             self.last_plant_backend = None
             self.plant_backend_reason = None
-            return
+            return iter(())
         # Plant-backend selection comes first: both engines execute
         # their (growth) shots against whichever backend is live, and
         # the replay blocker analysis below depends on the choice
@@ -497,33 +550,47 @@ class QuMAv2:
             if (use_replay and backend_kind == "stabilizer" and
                     not self.plant.noise.gate_error.is_zero and
                     not self.frame_batch_unsupported_reasons()):
-                yield from self._run_frame_batched(
-                    shots, max_instructions, stats, plan)
-                return
+                return self._frame_batches(shots, max_instructions, stats,
+                                           plan)
             reason = "; ".join(reasons)
             self.last_run_engine = "interpreter"
             self.replay_fallback_reason = reason
             stats.engine = "interpreter"
             stats.fallback_reason = reason
-            shot_time = (None if obs is None else obs.metrics.histogram(
-                "engine.interpreter.shot.time_ns"))
-            clock = None if obs is None else obs.tracer.clock
-            try:
-                for shot_index in range(shots):
-                    if plan is not None:
-                        plan.begin_shot(shot_index)
-                    stats.shots_total += 1
-                    stats.interpreter_shots += 1
-                    if shot_time is None:
-                        yield self.run_shot(max_instructions)
-                    else:
-                        shot_start = clock()
-                        trace = self.run_shot(max_instructions)
-                        shot_time.record(clock() - shot_start)
-                        yield trace
-            finally:
-                self._sync_faults(stats, plan)
-            return
+            return self._interpreter_batches(shots, max_instructions,
+                                             stats, plan)
+        return self._replay_batches(shots, max_instructions, stats, plan)
+
+    def _interpreter_batches(self, shots: int, max_instructions: int,
+                             stats: EngineStats,
+                             plan: FaultPlan | None
+                             ) -> Iterator[ShotBatch]:
+        """Every shot on the cycle-faithful interpreter, one batch of
+        one trace per shot."""
+        obs = self._obs
+        shot_time = (None if obs is None else obs.metrics.histogram(
+            "engine.interpreter.shot.time_ns"))
+        clock = None if obs is None else obs.tracer.clock
+        try:
+            for shot_index in range(shots):
+                if plan is not None:
+                    plan.begin_shot(shot_index)
+                if shot_time is None:
+                    trace = self.run_shot(max_instructions)
+                else:
+                    shot_start = clock()
+                    trace = self.run_shot(max_instructions)
+                    shot_time.record(clock() - shot_start)
+                yield ShotBatch.single(trace)
+        finally:
+            self._sync_faults(stats, plan)
+
+    def _replay_batches(self, shots: int, max_instructions: int,
+                        stats: EngineStats,
+                        plan: FaultPlan | None) -> Iterator[ShotBatch]:
+        """The branch-resolved replay engine: one batch per shot — a
+        cached walk's terminal template and sampled outcome row, or the
+        trace of a growth, audited or degraded interpreter shot."""
         self.last_run_engine = "replay"
         self.replay_fallback_reason = None
         stats.engine = "replay"
@@ -540,6 +607,7 @@ class QuMAv2:
         measurement_unit = self.measurement_unit
         mock_clamp = self._mock_fingerprint_clamp(tree.max_depth)
         degraded_reason = None
+        obs = self._obs
         walk_total_ns = 0
         walk_timed = 0
         walk_stride = 0
@@ -561,12 +629,10 @@ class QuMAv2:
             for shot_index in range(shots):
                 if plan is not None:
                     plan.begin_shot(shot_index)
-                stats.shots_total += 1
                 if degraded_reason is not None:
                     # A confirmed audit divergence invalidated the
                     # tree; the rest of the run is interpreter-only.
-                    stats.interpreter_shots += 1
-                    yield self.run_shot(max_instructions)
+                    yield ShotBatch.single(self.run_shot(max_instructions))
                     continue
                 if plan is not None and plan.would_fire("tree_bitflip"):
                     detail = tree.corrupt_random_template(plan.rng)
@@ -574,86 +640,83 @@ class QuMAv2:
                         plan.fire("tree_bitflip", detail=detail)
                 mock_view = measurement_unit.mock_view(mock_clamp)
                 if obs is None:
-                    trace, outcome_prefix = tree.sample_shot(mock_view)
+                    template, outcomes = tree.sample_shot(mock_view)
                 elif walk_stride & 0xF:
                     walk_stride += 1
-                    trace, outcome_prefix = tree.sample_shot(mock_view)
+                    template, outcomes = tree.sample_shot(mock_view)
                 else:
                     walk_stride += 1
                     walk_start = clock()
-                    trace, outcome_prefix = tree.sample_shot(mock_view)
+                    template, outcomes = tree.sample_shot(mock_view)
                     walk_total_ns += clock() - walk_start
                     walk_timed += 1
-                if trace is not None:
+                if template is not None:
                     stats.segment_cache_hits += 1
-                    if self._audit_due():
-                        if obs is None:
-                            shadow, mismatched, detail = \
-                                self._audit_replay_shot(trace,
-                                                        max_instructions)
-                        else:
-                            audit_start = clock()
-                            shadow, mismatched, detail = \
-                                self._audit_replay_shot(trace,
-                                                        max_instructions)
-                            audit_time.record(clock() - audit_start)
-                        stats.replay_audits += 1
-                        if mismatched:
-                            if not detail:
-                                detail = ("cached replay trace diverged "
-                                          "from its interpreter shadow")
-                            stats.audit_divergences += 1
-                            stats.last_audit = ReplayAudit(
-                                shot_index=shot_index,
-                                mismatched_fields=tuple(mismatched),
-                                tree_evicted=True, detail=detail)
-                            degraded_reason = (
-                                f"replay audit divergence at shot "
-                                f"{shot_index} "
-                                f"({', '.join(mismatched)})")
-                            stats.degradations.append(
-                                f"replay -> interpreter: "
-                                f"{degraded_reason}")
-                            if obs is not None:
-                                obs.event("machine.degradation",
-                                          engine="replay",
-                                          detail=degraded_reason)
-                            self._evict_tree(tree)
-                            stats.interpreter_shots += 1
-                            if shadow is None:
-                                shadow = self.run_shot(max_instructions)
-                            yield shadow
-                            continue
-                        stats.last_audit = ReplayAudit(
-                            shot_index=shot_index, mismatched_fields=(),
-                            tree_evicted=False)
-                        # The shadow interpreter shot consumed the real
-                        # mock cursors itself — committing the view too
-                        # would double-drain the queues.
-                        stats.replay_shots += 1
+                    if not self._audit_due():
+                        mock_view.commit()
                         stats.mock_results_replayed += mock_view.consumed
-                        yield trace
+                        yield ShotBatch((template,), [outcomes], "replay")
                         continue
-                    mock_view.commit()
-                    stats.replay_shots += 1
+                    trace = template.with_sampled_results(outcomes)
+                    if obs is None:
+                        shadow, mismatched, detail = \
+                            self._audit_replay_shot(trace,
+                                                    max_instructions)
+                    else:
+                        audit_start = clock()
+                        shadow, mismatched, detail = \
+                            self._audit_replay_shot(trace,
+                                                    max_instructions)
+                        audit_time.record(clock() - audit_start)
+                    stats.replay_audits += 1
+                    if mismatched:
+                        if not detail:
+                            detail = ("cached replay trace diverged "
+                                      "from its interpreter shadow")
+                        stats.audit_divergences += 1
+                        stats.last_audit = ReplayAudit(
+                            shot_index=shot_index,
+                            mismatched_fields=tuple(mismatched),
+                            tree_evicted=True, detail=detail)
+                        degraded_reason = (
+                            f"replay audit divergence at shot "
+                            f"{shot_index} "
+                            f"({', '.join(mismatched)})")
+                        stats.degradations.append(
+                            f"replay -> interpreter: "
+                            f"{degraded_reason}")
+                        if obs is not None:
+                            obs.event("machine.degradation",
+                                      engine="replay",
+                                      detail=degraded_reason)
+                        self._evict_tree(tree)
+                        if shadow is None:
+                            shadow = self.run_shot(max_instructions)
+                        yield ShotBatch.single(shadow)
+                        continue
+                    stats.last_audit = ReplayAudit(
+                        shot_index=shot_index, mismatched_fields=(),
+                        tree_evicted=False)
+                    # The shadow interpreter shot consumed the real
+                    # mock cursors itself — committing the view too
+                    # would double-drain the queues.
                     stats.mock_results_replayed += mock_view.consumed
-                    yield trace
+                    yield ShotBatch.single(trace, "replay")
                     continue
                 stats.segment_cache_misses += 1
-                stats.interpreter_shots += 1
                 if obs is None:
                     grown = self._grow_tree_shot(tree,
                                                  mock_view.fingerprint,
-                                                 outcome_prefix,
+                                                 outcomes,
                                                  max_instructions)
                 else:
                     growth_start = clock()
                     grown = self._grow_tree_shot(tree,
                                                  mock_view.fingerprint,
-                                                 outcome_prefix,
+                                                 outcomes,
                                                  max_instructions)
                     growth_time.record(clock() - growth_start)
-                yield grown
+                yield ShotBatch.single(grown)
                 stats.tree_nodes = tree.node_count
                 stats.tree_paths = tree.path_count
                 stats.tree_roots = tree.root_count
@@ -1010,20 +1073,6 @@ class QuMAv2:
         tree.grow(samples, trace, root_key=root_key)
         return trace
 
-    def run_counts(self, shots: int, max_instructions: int = 2_000_000,
-                   use_replay: bool = True) -> ShotCounts:
-        """Execute ``shots`` shots and return the streaming aggregate.
-
-        Memory stays O(qubits) regardless of the shot count — the
-        traces are folded into a :class:`~repro.uarch.trace.ShotCounts`
-        as they are produced.
-        """
-        counts = ShotCounts()
-        for trace in self.run_iter(shots, max_instructions,
-                                   use_replay=use_replay):
-            counts.add(trace)
-        return counts
-
     def replay_unsupported_reasons(self) -> list[str]:
         """Every reason the loaded program cannot use shot replay
         (empty if it can) — the static hard-blocker analysis of
@@ -1036,8 +1085,7 @@ class QuMAv2:
         zero gate error the tableau is deterministic given the outcome
         history and both fast paths compound."""
         reasons = replay_unsupported_reasons(
-            self._instructions, self.microcode, self.measurement_unit,
-            self.isa.topology.qubits,
+            self._instructions, self.microcode,
             data_memory_report=self.data_memory_report())
         kind, _ = self._select_plant_backend()
         if kind == "stabilizer" and \
@@ -1049,11 +1097,9 @@ class QuMAv2:
         return reasons
 
     def replay_unsupported_reason(self) -> str | None:
-        """All blocking reasons joined with "; ", or None when the
-        program is replayable."""
-        return replay_unsupported_reason(
-            self._instructions, self.microcode, self.measurement_unit,
-            self.isa.topology.qubits)
+        """All blocking reasons of :meth:`replay_unsupported_reasons`
+        joined with "; ", or None when the program is replayable."""
+        return "; ".join(self.replay_unsupported_reasons()) or None
 
     def frame_batch_unsupported_reasons(self) -> list[str]:
         """Every reason the loaded program cannot use the Pauli-frame
@@ -1071,8 +1117,7 @@ class QuMAv2:
         regime replay cannot serve.
         """
         reasons = replay_unsupported_reasons(
-            self._instructions, self.microcode, self.measurement_unit,
-            self.isa.topology.qubits,
+            self._instructions, self.microcode,
             data_memory_report=self.data_memory_report())
         conditional: list[str] = []
         has_fmr = False
@@ -1105,11 +1150,11 @@ class QuMAv2:
                 "queues drain")
         return reasons
 
-    def _run_frame_batched(self, shots: int, max_instructions: int,
-                           stats: EngineStats,
-                           plan) -> Iterator[ShotTrace]:
-        """Serve ``shots`` traces through the Pauli-frame batched
-        engine (see :mod:`repro.quantum.pauli_frame`).
+    def _frame_batches(self, shots: int, max_instructions: int,
+                       stats: EngineStats,
+                       plan: FaultPlan | None) -> Iterator[ShotBatch]:
+        """Serve ``shots`` shots through the Pauli-frame batched engine
+        (see :mod:`repro.quantum.pauli_frame`).
 
         One noise-free interpreter shot runs with a
         :class:`FrameRecorder` installed on the stabilizer backend,
@@ -1117,12 +1162,13 @@ class QuMAv2:
         and the measurement structure; its trace becomes the frozen
         timeline template.  Batches of per-shot frames then propagate
         through the recording with vectorised column operations, and
-        each shot's sampled ``(raw, reported)`` row is spliced into the
-        template.  A fault during the reference shot (the
-        ``backend_gate`` site, or ``snapshot_corrupt`` via the
-        post-reference snapshot integrity round-trip) degrades the
-        whole run gracefully to the per-shot tableau interpreter,
-        recorded in :attr:`EngineStats.degradations`.
+        each chunk's sampled ``(raw, reported)`` rows go out as one
+        :class:`ShotBatch` over the template.  A fault during the
+        reference shot (the ``backend_gate`` site, or
+        ``snapshot_corrupt`` via the post-reference snapshot integrity
+        round-trip) degrades the whole run gracefully to the per-shot
+        tableau interpreter, recorded in
+        :attr:`EngineStats.degradations`.
         """
         stats.engine = "frame"
         stats.fallback_reason = None
@@ -1156,7 +1202,7 @@ class QuMAv2:
                 recorder.measure_count != len(template.results):
             # Forced/mocked results would bypass the backend recorder;
             # eligibility excludes them, so a mismatch means the
-            # recording cannot drive the splice — never serve from it.
+            # recording cannot fill the template's rows — never serve it.
             degraded_reason = (
                 f"frame recording captured {recorder.measure_count} "
                 f"measurements but the reference trace holds "
@@ -1171,15 +1217,8 @@ class QuMAv2:
             stats.fallback_reason = degraded_reason
             self.last_run_engine = "interpreter"
             self.replay_fallback_reason = degraded_reason
-            try:
-                for shot_index in range(shots):
-                    if plan is not None:
-                        plan.begin_shot(shot_index)
-                    stats.shots_total += 1
-                    stats.interpreter_shots += 1
-                    yield self.run_shot(max_instructions)
-            finally:
-                self._sync_faults(stats, plan)
+            yield from self._interpreter_batches(shots, max_instructions,
+                                                 stats, plan)
             return
         stats.frame_reference_shots += 1
         readout = self.plant.noise.readout
@@ -1188,6 +1227,8 @@ class QuMAv2:
         try:
             while shot_index < shots:
                 chunk = min(shots - shot_index, _FRAME_CHUNK_SHOTS)
+                if plan is not None:
+                    plan.begin_shot(shot_index)
                 if obs is None:
                     raw, reported = propagate_frames(
                         recorder.steps, num_qubits, chunk,
@@ -1203,16 +1244,10 @@ class QuMAv2:
                                            shots=chunk)
                     obs.metrics.observe("engine.frame.batch.time_ns",
                                         batch_end - batch_start)
-                raw_rows = raw.tolist()
-                reported_rows = reported.tolist()
-                for row in range(chunk):
-                    if plan is not None:
-                        plan.begin_shot(shot_index)
-                    stats.shots_total += 1
-                    stats.frame_batched += 1
-                    shot_index += 1
-                    yield template.with_sampled_results(
-                        list(zip(raw_rows[row], reported_rows[row])))
+                shot_index += chunk
+                yield ShotBatch((template,),
+                                np.stack((raw, reported), axis=-1),
+                                "frame")
         finally:
             self._sync_faults(stats, plan)
 

@@ -201,7 +201,7 @@ class MeasurementUnit:
         """Consume ``count`` mock values without producing them.
 
         Called by the replay engine after a cached tree walk: the walk
-        already spliced the peeked values into the replayed trace, so
+        already put the peeked values into the shot's outcome row, so
         the queue must drain exactly as if the interpreter had run.
         """
         remaining = self.remaining_mock_results(qubit)

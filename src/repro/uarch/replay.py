@@ -29,8 +29,9 @@ outcome history:
 
 Replaying a shot is a pure tree walk: sample each measurement from the
 stored ``P(1)`` (and the readout-error model), follow the matching
-edge, and splice the sampled outcomes into the terminal template
-(:meth:`ShotTrace.with_sampled_results`).  No plant state is touched at
+edge, and hand back the terminal template with the sampled outcome row
+(a :class:`~repro.uarch.trace.ShotBatch` row; a trace is spliced only
+for consumers that want one).  No plant state is touched at
 all — the chain rule over per-node conditional probabilities reproduces
 the interpreter's joint outcome distribution exactly.
 
@@ -102,7 +103,6 @@ from repro.core.instructions import (
 from repro.core.microcode import MicrocodeUnit
 from repro.quantum.plant import QuantumPlant
 from repro.uarch.dataflow import analyze_data_memory
-from repro.uarch.measurement import MeasurementUnit
 from repro.uarch.trace import ShotTrace
 
 #: Name under which the plant logs projective measurements.
@@ -150,12 +150,15 @@ class ReplayAudit:
 class EngineStats:
     """Per-run execution-engine statistics.
 
-    Populated by :meth:`repro.uarch.machine.QuMAv2.run_iter` (and hence
-    :meth:`run` / :meth:`run_counts`); exposed to experiments through
+    Populated by the engine generator behind
+    :meth:`repro.uarch.machine.QuMAv2.run_iter` and :meth:`run_counts`
+    (and hence :meth:`run`); exposed to experiments through
     :attr:`repro.uarch.machine.QuMAv2.engine_stats` and
     :attr:`repro.experiments.runner.ExperimentSetup.last_engine_stats`.
-    The object updates *live* while ``run_iter`` streams — long sweeps
-    can report the engine mix mid-flight via :meth:`snapshot`.
+    The object updates *live* while ``run_iter`` streams — the
+    delivered-shot counters track the traces yielded so far (see
+    :meth:`count_delivered`), and long sweeps can report the engine mix
+    mid-flight via :meth:`snapshot`.
     """
 
     #: "replay" when the branch-resolved engine drove the run, "frame"
@@ -185,7 +188,7 @@ class EngineStats:
     #: Shots served purely from the timeline-segment tree.
     replay_shots: int = 0
     #: Shots served by the Pauli-frame batched engine (vectorised frame
-    #: rows spliced into the reference shot's frozen timeline).  The
+    #: rows over the reference shot's frozen timeline).  The
     #: delivered-shot invariant is ``shots_total == interpreter_shots +
     #: replay_shots + frame_batched``.
     frame_batched: int = 0
@@ -242,6 +245,19 @@ class EngineStats:
     def as_dict(self) -> dict:
         """JSON-ready summary (used by the benchmarks)."""
         return asdict(self)
+
+    def count_delivered(self, engine: str, shots: int) -> None:
+        """Count ``shots`` shots delivered to the consumer by
+        ``engine`` ("interpreter", "replay" or "frame") — called as
+        shots are yielded or folded, so a mid-stream :meth:`snapshot`
+        sees exactly the shots delivered so far."""
+        self.shots_total += shots
+        if engine == "replay":
+            self.replay_shots += shots
+        elif engine == "frame":
+            self.frame_batched += shots
+        else:
+            self.interpreter_shots += shots
 
     def snapshot(self) -> "EngineStats":
         """An independent copy of the running statistics.
@@ -331,8 +347,6 @@ class MeasurementSample:
 def replay_unsupported_reasons(
         instructions: Iterable[Instruction],
         microcode: MicrocodeUnit,
-        measurement_unit: MeasurementUnit,
-        qubit_addresses: Iterable[int],
         data_memory_report=None) -> list[str]:
     """Every reason a loaded binary cannot take the replay fast path.
 
@@ -344,14 +358,12 @@ def replay_unsupported_reasons(
     (:mod:`repro.uarch.dataflow` — un-killed loads aliasing a store,
     unknown addresses, loops it cannot unroll), and
     operations the analysis cannot model.  Injected mock results are
-    *not* blockers any more — their queues are replayed through
-    cursor-keyed tree roots; the ``measurement_unit`` parameter is kept
-    for signature stability.  All blockers present in the program are
-    reported, not just the first one found.  ``data_memory_report``
+    *not* blockers — their queues are replayed through cursor-keyed
+    tree roots.  All blockers present in the program are reported, not
+    just the first one found.  ``data_memory_report``
     lets a caller that already ran the dataflow pass (the machine
     memoises it per binary) avoid recomputing it.
     """
-    del measurement_unit, qubit_addresses  # no longer blockers
     instructions = list(instructions)
     if not instructions:
         return ["no program loaded"]
@@ -377,18 +389,6 @@ def replay_unsupported_reasons(
     for name in unsupported:
         reasons.append(f"unsupported instruction {name}")
     return reasons
-
-
-def replay_unsupported_reason(
-        instructions: Iterable[Instruction],
-        microcode: MicrocodeUnit,
-        measurement_unit: MeasurementUnit,
-        qubit_addresses: Iterable[int]) -> str | None:
-    """All blocking reasons joined with "; ", or None when replayable."""
-    reasons = replay_unsupported_reasons(instructions, microcode,
-                                         measurement_unit,
-                                         qubit_addresses)
-    return "; ".join(reasons) if reasons else None
 
 
 class _TreeNode:
@@ -477,7 +477,10 @@ class TimelineTree:
         the joint distribution is exact.  Mocked nodes instead read the
         fabricated bit from the cursor view (raw == reported, no
         readout error — mocks bypass the analog chain).  Returns
-        ``(trace, outcomes)`` on a complete cached path, or
+        ``(template, outcomes)`` on a complete cached path — the
+        terminal node's frozen trace and the sampled ``(raw,
+        reported)`` row, left unspliced so a counts fold never builds a
+        trace (:meth:`ShotTrace.with_sampled_results` makes one) — or
         ``(None, outcome_prefix)`` when an unexplored edge is reached;
         the caller then runs an interpreter shot with that prefix
         forced (and, on success, commits the view's mock consumption).
@@ -514,7 +517,7 @@ class TimelineTree:
             if child is None:
                 return None, outcomes    # unexplored branch: grow here
             node = child
-        return node.template.with_sampled_results(outcomes), outcomes
+        return node.template, outcomes
 
     # ------------------------------------------------------------------
     # Fault injection (chaos testing of the audit machinery)

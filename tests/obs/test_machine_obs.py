@@ -148,6 +148,27 @@ class TestTracedFrameRun:
         assert snapshot["engine.frame.reference_shots"]["value"] == 1
         assert snapshot["engine.selected.frame"]["value"] == 1
 
+    def test_counts_fold_spans_are_per_batch(self):
+        """run_counts records one fold span per frame batch and none
+        for the per-shot batches of a cached replay run."""
+        obs = Observability()
+        machine = make_machine(FRAME_CLIFFORD, noise=frame_noise(),
+                               observability=obs)
+        counts = machine.run_counts(50)
+        folds = [span for span in obs.tracer.spans()
+                 if span.name == "machine.counts.fold"]
+        batches = [span for span in obs.tracer.spans()
+                   if span.name == "engine.frame.batch"]
+        assert len(folds) == len(batches) == 1
+        assert folds[0].attributes["shots"] == counts.shots == 50
+
+        obs = Observability()
+        machine = make_machine(observability=obs)
+        machine.run_counts(200)
+        assert machine.engine_stats.replay_shots > 0
+        assert not any(span.name == "machine.counts.fold"
+                       for span in obs.tracer.spans())
+
 
 class TestDegradationEvents:
     def test_resilient_ladder_emits_structured_events(self):

@@ -119,3 +119,23 @@ class TestPaperListingsGolden:
         assert (word >> 31) == 0
         assert (word >> 20) & 0x1F == 7
         assert word & 0x7F == 0b0000101
+
+
+class TestDeliberateApiDeltas:
+    """Public-API changes made on purpose, pinned so they are not undone
+    by accident (each is listed in CHANGES.md)."""
+
+    def test_module_level_singular_replay_reason_is_gone(self):
+        import repro.uarch
+        import repro.uarch.replay
+        assert not hasattr(repro.uarch.replay, "replay_unsupported_reason")
+        assert "replay_unsupported_reason" not in repro.uarch.__all__
+        # The machine keeps the joined form of its own reasons.
+        assert callable(repro.uarch.QuMAv2.replay_unsupported_reason)
+
+    def test_replay_reasons_takes_no_unused_parameters(self):
+        import inspect
+        from repro.uarch import replay_unsupported_reasons
+        assert list(inspect.signature(replay_unsupported_reasons)
+                    .parameters) == ["instructions", "microcode",
+                                     "data_memory_report"]

@@ -151,6 +151,24 @@ class TestBackendSelection:
         assert machine.last_run_engine == "interpreter"
         assert "trajectory" in machine.replay_fallback_reason
 
+    def test_joined_reason_agrees_with_reasons_under_pauli_noise(self):
+        """The singular form is the "; "-join of the plural one, so it
+        reports the stabilizer-backend Pauli-noise blocker too — on the
+        2-qubit chip and on the surface-17 frame machine."""
+        from repro.experiments.runner import ExperimentSetup
+        from repro.workloads.surface17 import surface17_circuit
+        setup = ExperimentSetup.create(isa=seventeen_qubit_instantiation(),
+                                       noise=pauli_noise())
+        setup.machine.load(setup.compile_circuit(
+            surface17_circuit(rounds=1, reset=False)))
+        for machine in (make_machine(FIG4_PROGRAM, noise=pauli_noise()),
+                        setup.machine):
+            reasons = machine.replay_unsupported_reasons()
+            assert any("stochastic Pauli gate noise" in reason
+                       for reason in reasons)
+            assert machine.replay_unsupported_reason() == "; ".join(reasons)
+        assert make_machine(FIG4_PROGRAM).replay_unsupported_reason() is None
+
     def test_readout_only_noise_compounds_both_fast_paths(self):
         machine = make_machine(FIG4_PROGRAM)
         machine.run(100)

@@ -244,6 +244,44 @@ class TestEngineStatsSnapshot:
         snapshot.shots_total = -1                  # mutating the copy...
         assert machine.engine_stats.shots_total == 50  # ...changes nothing
 
+    def test_frame_snapshot_counts_shots_yielded(self):
+        """The frame engine propagates a whole chunk of shots at once,
+        but run_iter splices them one at a time: a mid-stream snapshot
+        counts exactly the traces yielded, not the chunk."""
+        from repro.quantum.noise import DecoherenceModel, GateErrorModel
+        noise = NoiseModel(
+            decoherence=DecoherenceModel(t1_ns=1e15, t2_ns=1e15),
+            gate_error=GateErrorModel(single_qubit_error=0.03,
+                                      two_qubit_error=0.05))
+        machine = make_machine(noise=noise, seed=6)
+        load(machine, """
+        SMIS S0, {0}
+        SMIS S2, {2}
+        SMIS S3, {0, 2}
+        SMIT T0, {(0, 2)}
+        QWAIT 10000
+        H S0
+        QWAIT 10
+        CZ T0
+        QWAIT 10
+        MEASZ S3
+        QWAIT 50
+        STOP
+        """)
+        iterator = machine.run_iter(50)
+        for _ in range(10):
+            next(iterator)
+        snapshot = machine.engine_stats_snapshot()
+        assert snapshot.engine == "frame"
+        assert snapshot.shots_total == 10
+        assert snapshot.frame_batched == 10
+        assert snapshot.frame_reference_shots == 1
+
+        assert sum(1 for _ in iterator) == 40
+        assert snapshot.shots_total == 10          # frozen
+        assert machine.engine_stats.shots_total == 50
+        assert machine.engine_stats.frame_batched == 50
+
     def test_setup_snapshot_during_streaming(self):
         from repro.experiments.runner import ExperimentSetup
         setup = ExperimentSetup.create(seed=9)
