@@ -508,7 +508,8 @@ class QuMAv2:
             self.replay_fallback_reason = None
             self.last_plant_backend = None
             self.plant_backend_reason = None
-            return iter(())
+            # A generator, not iter(()): run_iter closes the stream.
+            return (batch for batch in ())
         # Plant-backend selection comes first: both engines execute
         # their (growth) shots against whichever backend is live, and
         # the replay blocker analysis below depends on the choice
@@ -607,6 +608,7 @@ class QuMAv2:
         measurement_unit = self.measurement_unit
         mock_clamp = self._mock_fingerprint_clamp(tree.max_depth)
         degraded_reason = None
+        replayed = 0  # shots served from the tree, for the run's label
         obs = self._obs
         walk_total_ns = 0
         walk_timed = 0
@@ -655,7 +657,8 @@ class QuMAv2:
                     if not self._audit_due():
                         mock_view.commit()
                         stats.mock_results_replayed += mock_view.consumed
-                        yield ShotBatch((template,), [outcomes], "replay")
+                        replayed += 1
+                        yield ShotBatch(template, [outcomes], "replay")
                         continue
                     trace = template.with_sampled_results(outcomes)
                     if obs is None:
@@ -701,6 +704,7 @@ class QuMAv2:
                     # mock cursors itself — committing the view too
                     # would double-drain the queues.
                     stats.mock_results_replayed += mock_view.consumed
+                    replayed += 1
                     yield ShotBatch.single(trace, "replay")
                     continue
                 stats.segment_cache_misses += 1
@@ -737,11 +741,11 @@ class QuMAv2:
         if degraded_reason is not None:
             self.replay_fallback_reason = degraded_reason
             stats.fallback_reason = degraded_reason
-            if stats.replay_shots == 0:
+            if replayed == 0:
                 stats.engine = "interpreter"
                 self.last_run_engine = "interpreter"
             return
-        if stats.replay_shots == 0 and stats.interpreter_shots > 0:
+        if replayed == 0:
             # The replay engine was selected but every shot ended up a
             # growth (interpreter) shot — e.g. the outcome paths exceed
             # the tree caps from shot one.  Reporting "replay" for a
@@ -1245,7 +1249,7 @@ class QuMAv2:
                     obs.metrics.observe("engine.frame.batch.time_ns",
                                         batch_end - batch_start)
                 shot_index += chunk
-                yield ShotBatch((template,),
+                yield ShotBatch(template,
                                 np.stack((raw, reported), axis=-1),
                                 "frame")
         finally:

@@ -88,18 +88,13 @@ class ShotTrace:
         run.  Templates are frozen once captured (the machine binds a
         fresh trace per interpreter shot), so the aliasing is safe;
         treat replayed traces as read-only — mutating their shared
-        lists would corrupt every sibling shot of the same path.  A
-        result record whose outcome the sample repeats is shared too
-        (records are frozen): a replayed tree path always repeats its
-        template's outcomes, so its splice allocates no record at all.
+        lists would corrupt every sibling shot of the same path.
         """
         results = [
-            record if (record.raw_result == raw and
-                       record.reported_result == reported)
-            else ResultRecord(qubit=record.qubit, raw_result=raw,
-                              reported_result=reported,
-                              measure_start_ns=record.measure_start_ns,
-                              arrival_ns=record.arrival_ns)
+            ResultRecord(qubit=record.qubit, raw_result=raw,
+                         reported_result=reported,
+                         measure_start_ns=record.measure_start_ns,
+                         arrival_ns=record.arrival_ns)
             for record, (raw, reported)
             in zip(self.results, outcomes, strict=True)]
         return ShotTrace(
@@ -140,18 +135,16 @@ class ShotTrace:
 
 @dataclass(slots=True)
 class ShotBatch:
-    """Consecutive shots of one run, held as outcome rows over frozen
-    timeline templates — the execution engines' one result type.
+    """Consecutive shots of one run, held as outcome rows over one
+    frozen timeline template — the execution engines' one result type.
 
-    Row ``i`` is a shot that followed ``templates[paths[i]]`` (every
-    row follows ``templates[0]`` when ``paths`` is None) and whose
-    measurements returned ``rows[i]``: one ``(raw, reported)`` pair
-    per result record of that template, in result order.  ``rows`` is
-    a ``(shots, width, 2)`` uint8 array when a vectorised engine
-    produced it (rows of shorter templates are zero-padded to the
-    widest one) or a list of pair lists when it was built shot by
-    shot.  ``rows`` is None for a batch of one shot whose template *is*
-    its trace (an interpreter shot).  ``engine`` names the engine that
+    Row ``i`` is a shot that followed ``template`` and whose
+    measurements returned ``rows[i]``: one ``(raw, reported)`` pair per
+    result record of the template, in result order.  ``rows`` is a
+    ``(shots, results, 2)`` uint8 array when a vectorised engine
+    produced it or a list of pair lists when it was built shot by shot.
+    ``rows`` is None for a batch of one shot whose template *is* its
+    trace (an interpreter shot).  ``engine`` names the engine that
     served the shots ("interpreter", "replay" or "frame").
 
     Batches are read-only once built (not frozen, because a frozen
@@ -162,16 +155,15 @@ class ShotBatch:
     folds the rows directly.
     """
 
-    templates: tuple[ShotTrace, ...]
+    template: ShotTrace
     rows: np.ndarray | Sequence | None
     engine: str
-    paths: np.ndarray | None = None
 
     @classmethod
     def single(cls, trace: ShotTrace,
                engine: str = "interpreter") -> "ShotBatch":
         """A batch of one shot that carries its own complete trace."""
-        return cls((trace,), None, engine)
+        return cls(trace, None, engine)
 
     def __len__(self) -> int:
         return 1 if self.rows is None else len(self.rows)
@@ -180,15 +172,10 @@ class ShotBatch:
         """The batch's shots as traces, spliced one at a time."""
         rows = self.rows
         if rows is None:
-            return iter(self.templates)
+            return iter((self.template,))
         if isinstance(rows, np.ndarray):
-            rows = map(list, map(zip, rows[:, :, 0].tolist(),
-                                 rows[:, :, 1].tolist()))
-        if self.paths is None:
-            return map(self.templates[0].with_sampled_results, rows)
-        templates = [self.templates[path] for path in self.paths.tolist()]
-        return (template.with_sampled_results(row[:len(template.results)])
-                for template, row in zip(templates, rows))
+            rows = map(zip, rows[:, :, 0].tolist(), rows[:, :, 1].tolist())
+        return map(self.template.with_sampled_results, rows)
 
 
 def _final_columns(template: ShotTrace) -> tuple[list[int], list[int]]:
@@ -260,62 +247,56 @@ class ShotCounts:
     def add_batch(self, batch: ShotBatch) -> None:
         """Fold every shot of a batch straight from its outcome rows.
 
-        An array batch is folded column-wise per template: each
-        qubit's final result is a fixed column of the template, so
-        ``ones``/``measured`` are column sums and the joint histogram
-        is an ``np.unique`` over the rows' final bits packed into one
-        uint64 (a row-wise ``np.unique`` when more than 63 qubits are
-        measured).  Slips are the template's own, once per row.  List
-        rows fold one at a time; a batch without rows folds its trace.
+        An array batch is folded column-wise: each qubit's final result
+        is a fixed column of the template, so ``ones``/``measured`` are
+        column sums and the joint histogram is an ``np.unique`` over the
+        rows' final bits packed into one uint64 (a row-wise
+        ``np.unique`` when more than 63 qubits are measured).  Slips are
+        the template's own, once per row.  List rows fold one at a
+        time; a batch without rows folds its trace.
         """
         rows = batch.rows
+        template = batch.template
         if rows is None:
-            self.add(batch.templates[0])
+            self.add(template)
             return
         if not isinstance(rows, np.ndarray):
             last = self._last
-            paths = batch.paths
-            for index, row in enumerate(rows):
-                template = batch.templates[
-                    0 if paths is None else paths[index]]
+            for row in rows:
                 last.clear()
                 for record, pair in zip(template.results, row):
                     last[record.qubit] = pair[1]
                 self._fold_last(template)
             return
-        for index, template in enumerate(batch.templates):
-            block = rows if batch.paths is None else \
-                rows[batch.paths == index]
-            shots = len(block)
-            if not shots:
-                continue
-            self.shots += shots
-            self.total_slips += shots * len(template.slips)
-            slip = template.max_slip_ns()
-            if slip > self.max_slip_ns:
-                self.max_slip_ns = slip
-            qubits, columns = _final_columns(template)
-            if not qubits:
-                continue
-            bits = block[:, columns, 1]
-            for qubit, ones in zip(qubits, bits.sum(axis=0).tolist()):
-                self.measured[qubit] = self.measured.get(qubit, 0) + shots
-                if ones:
-                    self.ones[qubit] = self.ones.get(qubit, 0) + ones
-            width = len(qubits)
-            if width <= 63:
-                shifts = np.arange(width, dtype=np.uint64)
-                packed, counts = np.unique(
-                    bits.astype(np.uint64) @ (np.uint64(1) << shifts),
-                    return_counts=True)
-                distinct = ((packed[:, None] >> shifts) & np.uint64(1))
-            else:
-                distinct, counts = np.unique(bits, axis=0,
-                                             return_counts=True)
-            joint = self.joint
-            for row, count in zip(distinct.tolist(), counts.tolist()):
-                key = tuple(zip(qubits, row))
-                joint[key] = joint.get(key, 0) + count
+        shots = len(rows)
+        if not shots:
+            return
+        self.shots += shots
+        self.total_slips += shots * len(template.slips)
+        slip = template.max_slip_ns()
+        if slip > self.max_slip_ns:
+            self.max_slip_ns = slip
+        qubits, columns = _final_columns(template)
+        if not qubits:
+            return
+        bits = rows[:, columns, 1]
+        for qubit, ones in zip(qubits, bits.sum(axis=0).tolist()):
+            self.measured[qubit] = self.measured.get(qubit, 0) + shots
+            if ones:
+                self.ones[qubit] = self.ones.get(qubit, 0) + ones
+        width = len(qubits)
+        if width <= 63:
+            shifts = np.arange(width, dtype=np.uint64)
+            packed, counts = np.unique(
+                bits.astype(np.uint64) @ (np.uint64(1) << shifts),
+                return_counts=True)
+            distinct = ((packed[:, None] >> shifts) & np.uint64(1))
+        else:
+            distinct, counts = np.unique(bits, axis=0, return_counts=True)
+        joint = self.joint
+        for row, count in zip(distinct.tolist(), counts.tolist()):
+            key = tuple(zip(qubits, row))
+            joint[key] = joint.get(key, 0) + count
 
     def excited_fraction(self, qubit: int) -> float:
         """Fraction of shots whose last result on ``qubit`` was 1."""

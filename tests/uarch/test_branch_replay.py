@@ -434,23 +434,6 @@ class TestTraceSplice:
                 for r in spliced.results] == [(1, 0), (0, 1)]
         assert spliced.triggers[0] is template.triggers[0]
 
-    def test_splice_shares_records_whose_outcome_repeats(self):
-        machine = make_machine(noise=NoiseModel(), seed=6)
-        load(machine, ACTIVE_RESET)
-        template = machine.run_shot()
-        path = list(template.outcome_path())
-        same = template.with_sampled_results(path)
-        assert same.results == template.results
-        assert all(spliced is record for spliced, record
-                   in zip(same.results, template.results))
-        raw, reported = path[0]
-        path[0] = (1 - raw, reported)
-        changed = template.with_sampled_results(path)
-        assert changed.results[0].raw_result == 1 - raw
-        assert changed.results[0] is not template.results[0]
-        assert changed.results[1] is template.results[1]
-        assert template.outcome_path()[0] == (raw, reported)
-
     def test_with_sampled_results_rejects_length_mismatch(self):
         machine = make_machine(noise=NoiseModel(), seed=6)
         load(machine, ACTIVE_RESET)

@@ -84,25 +84,17 @@ def templates(draw):
 
 @st.composite
 def batches(draw):
-    """A batch of one to three templates with random outcome rows —
-    as a zero-padded uint8 array or as pair lists."""
-    frozen = tuple(draw(st.lists(templates(), min_size=1, max_size=3)))
+    """A batch of random outcome rows over one template — as a uint8
+    array or as pair lists."""
+    template = draw(templates())
     shots = draw(st.integers(1, 40))
-    paths = draw(st.lists(st.integers(0, len(frozen) - 1),
-                          min_size=shots, max_size=shots))
-    width = max(len(template.results) for template in frozen)
     seed = draw(st.integers(0, 2**32 - 1))
     rows = np.random.default_rng(seed).integers(
-        0, 2, size=(shots, width, 2), dtype=np.uint8)
-    for row, path in enumerate(paths):
-        rows[row, len(frozen[path].results):] = 0
-    path_array = None if len(frozen) == 1 else np.array(paths)
+        0, 2, size=(shots, len(template.results), 2), dtype=np.uint8)
     if draw(st.booleans()):
-        return ShotBatch(frozen, rows, "frame", path_array)
-    listed = [[tuple(pair) for pair in
-               rows[row, :len(frozen[path].results)].tolist()]
-              for row, path in enumerate(paths)]
-    return ShotBatch(frozen, listed, "replay", path_array)
+        return ShotBatch(template, rows, "frame")
+    listed = [[tuple(pair) for pair in row] for row in rows.tolist()]
+    return ShotBatch(template, listed, "replay")
 
 
 class TestBatchFold:
@@ -129,7 +121,7 @@ class TestBatchFold:
         rows = np.zeros((5, len(qubits), 2), dtype=np.uint8)
         rows[1:3, :, 1] = 1
         rows[4, 69, 1] = 1
-        batch = ShotBatch((template,), rows, "frame")
+        batch = ShotBatch(template, rows, "frame")
         folded = ShotCounts()
         folded.add_batch(batch)
         added = ShotCounts()
@@ -246,3 +238,16 @@ class TestRunCountsMatchesRunIter:
                                          shots)
         assert stats.engine == "frame"
         assert stats.frame_batched == stats.shots_total == shots
+
+    def test_zero_shots_yield_nothing_and_reset_engine_fields(self):
+        machine = dense_machine(FIG4_PROGRAM, seed=7)
+        for run in (machine.run, lambda n: list(machine.run_iter(n))):
+            machine.run(20)
+            assert machine.last_run_engine == "replay"
+            assert run(0) == []
+            assert machine.last_run_engine is None
+            assert machine.last_plant_backend is None
+            assert machine.engine_stats.shots_total == 0
+        machine.run(20)
+        assert machine.run_counts(0) == ShotCounts()
+        assert machine.last_run_engine is None
