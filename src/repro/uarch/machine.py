@@ -76,7 +76,6 @@ from repro.core.instructions import (
 )
 from repro.core.isa import EQASMInstantiation
 from repro.core.microcode import MicrocodeUnit, MicroOpRole
-from repro.core.operations import ExecutionFlag
 from repro.core.registers import (
     ComparisonFlags,
     DataMemory,
@@ -88,7 +87,6 @@ from repro.core.registers import (
 )
 from repro.quantum.pauli_frame import FrameRecorder, propagate_frames
 from repro.quantum.plant import QuantumPlant
-from repro.quantum.stabilizer import cached_clifford_action
 from repro.uarch.config import UarchConfig
 from repro.uarch.devices import (
     DeviceEventDistributor,
@@ -103,11 +101,11 @@ from repro.uarch.faults import FaultPlan
 from repro.uarch.measurement import MeasurementUnit, PendingResult
 from repro.uarch.quantum_pipeline import QuantumPipeline, ReservedPoint
 from repro.uarch.replay import (
+    BinaryScan,
     EngineStats,
     MeasurementSample,
     ReplayAudit,
     TimelineTree,
-    replay_unsupported_reasons,
 )
 
 from repro.uarch.trace import (
@@ -132,6 +130,12 @@ _FRAME_CHUNK_SHOTS = 16384
 #: sweeps that reload many distinct binaries into one machine stop
 #: recomputing the exploded graph per load().
 _DATAFLOW_CACHE_CAPACITY = 64
+
+#: The machine-level replay blocker: with stochastic Pauli gate noise
+#: on the tableau, each shot samples a fresh Pauli trajectory.
+_PAULI_TRAJECTORY_REASON = (
+    "stochastic Pauli gate noise on the stabilizer backend (per-shot "
+    "trajectory sampling outside the outcome history)")
 
 
 #: Events at equal timestamps resolve by priority: measurement results
@@ -195,20 +199,12 @@ class QuMAv2:
         # Per-instance handler cache: starts as the class dispatch
         # table and absorbs subclass resolutions as they are seen.
         self._dispatch: dict[type, Callable] = dict(self._DISPATCH)
-        #: Which engine the last run() used ("interpreter" | "replay").
-        self.last_run_engine: str | None = None
-        #: Why the last run() could not use replay (None when it did).
-        self.replay_fallback_reason: str | None = None
         #: Plant-backend policy: "auto" (static Clifford/noise pass per
         #: run — the default), or "dense"/"stabilizer" to pin a backend.
         self.plant_backend_policy = plant_backend
-        #: Which plant backend the last run() selected
-        #: ("stabilizer" | "dense"), mirroring :attr:`last_run_engine`.
-        self.last_plant_backend: str | None = None
-        #: Why the last run() kept the dense backend (None on tableau).
-        self.plant_backend_reason: str | None = None
         #: Per-run engine statistics (shots per engine, segment-cache
-        #: hits/misses, fallback reasons); replaced by each run_iter().
+        #: hits/misses, engine/backend labels and fallback reasons) —
+        #: the one record of the run; replaced by each run_iter().
         self.engine_stats = EngineStats()
         #: Cross-run replay cache: saturated timeline trees keyed by
         #: (binary words, noise model, config) so repeated sweeps over
@@ -217,14 +213,14 @@ class QuMAv2:
         #: invalidates a reused tree when either is swapped out.
         self._tree_cache: OrderedDict[tuple, TimelineTree] = OrderedDict()
         self._binary_key: tuple[int, ...] = ()
-        # Per-binary static analyses, memoised in small LRUs keyed by
-        # the binary words (the machine's microcode/operation set is
-        # fixed, so the words fully determine both results) — sweeps
-        # that reload many distinct binaries skip recomputation.
+        # Per-binary static analyses (the machine's microcode/operation
+        # set is fixed, so the words fully determine both): the
+        # selection scan lives until the next load(), the dataflow
+        # report in a small LRU keyed by the binary words.
+        self._scan: BinaryScan | None = None
         self._data_memory_report: DataMemoryReport | None = None
         self._dataflow_cache: OrderedDict[tuple, DataMemoryReport] = \
             OrderedDict()
-        self._plant_backend_reasons: list[str] | None = None
         #: Fraction of cache-hit replay shots shadow-run on the
         #: interpreter and compared bit-for-bit (self-verifying
         #: replay); 0.0 disables auditing.  Divergence evicts the
@@ -253,6 +249,27 @@ class QuMAv2:
     def observability(self, obs) -> None:
         self._obs = obs
         self.plant.observability = obs
+
+    # The last run's labels: read-only views of :attr:`engine_stats`.
+    @property
+    def last_run_engine(self) -> str | None:
+        """The last run's engine: "interpreter", "replay" or "frame"."""
+        return self.engine_stats.engine
+
+    @property
+    def replay_fallback_reason(self) -> str | None:
+        """Why the last run left its fast engine (None if it did not)."""
+        return self.engine_stats.fallback_reason
+
+    @property
+    def last_plant_backend(self) -> str | None:
+        """The last run's plant backend: "stabilizer" or "dense"."""
+        return self.engine_stats.plant_backend
+
+    @property
+    def plant_backend_reason(self) -> str | None:
+        """Why the last run kept the dense backend (None on tableau)."""
+        return self.engine_stats.plant_backend_reason
 
     def arm_faults(self, plan: FaultPlan | None) -> None:
         """Arm a deterministic fault-injection plan (None disarms).
@@ -297,7 +314,7 @@ class QuMAv2:
             self._binary_key)
         if self._data_memory_report is not None:
             self._dataflow_cache.move_to_end(self._binary_key)
-        self._plant_backend_reasons = None
+        self._scan = None
         if obs is not None:
             obs.tracer.record_span(
                 "machine.load", load_start, obs.clock(),
@@ -504,10 +521,6 @@ class QuMAv2:
         # from a clean slate.
         self.measurement_unit.clear_forced_results()
         if shots <= 0:
-            self.last_run_engine = None
-            self.replay_fallback_reason = None
-            self.last_plant_backend = None
-            self.plant_backend_reason = None
             # A generator, not iter(()): run_iter closes the stream.
             return (batch for batch in ())
         # Plant-backend selection comes first: both engines execute
@@ -523,57 +536,63 @@ class QuMAv2:
             obs.tracer.record_span("machine.select_backend",
                                    phase_start, obs.clock())
         self.plant.use_backend(backend_kind)
-        self.last_plant_backend = backend_kind
-        self.plant_backend_reason = backend_reason
         stats.plant_backend = backend_kind
         stats.plant_backend_reason = backend_reason
         plan = self.fault_plan
         if plan is not None:
             plan.begin_run()
             self._fault_record_base = len(plan.records)
-        if obs is None:
-            reasons = (["replay disabled by caller"] if not use_replay
-                       else self.replay_unsupported_reasons())
+        if not use_replay:
+            reasons = ["replay disabled by caller"]
+        elif obs is None:
+            reasons = self._replay_reasons(backend_kind)
         else:
             phase_start = obs.clock()
-            reasons = (["replay disabled by caller"] if not use_replay
-                       else self.replay_unsupported_reasons())
+            reasons = self._replay_reasons(backend_kind)
             obs.tracer.record_span("machine.replay_analysis",
                                    phase_start, obs.clock())
-        if reasons:
-            # Stochastic Pauli gate noise blocks the outcome-keyed
-            # replay tree, but on a feedback-free Clifford program the
-            # Pauli-frame batched engine handles exactly that case: one
-            # reference tableau shot plus vectorised per-shot frames
-            # (see repro.quantum.pauli_frame).  Selection mirrors the
-            # replay pattern — a static eligibility pass, transparent
-            # reporting, graceful fallback.
-            if (use_replay and backend_kind == "stabilizer" and
-                    not self.plant.noise.gate_error.is_zero and
-                    not self.frame_batch_unsupported_reasons()):
-                return self._frame_batches(shots, max_instructions, stats,
-                                           plan)
-            reason = "; ".join(reasons)
-            self.last_run_engine = "interpreter"
-            self.replay_fallback_reason = reason
-            stats.engine = "interpreter"
-            stats.fallback_reason = reason
-            return self._interpreter_batches(shots, max_instructions,
-                                             stats, plan)
-        return self._replay_batches(shots, max_instructions, stats, plan)
+        if not reasons:
+            return self._replay_batches(shots, max_instructions, stats,
+                                        plan)
+        if reasons == [_PAULI_TRAJECTORY_REASON] and \
+                not self._frame_only_reasons():
+            # Stochastic Pauli gate noise is replay's only blocker: on
+            # a feedback-free Clifford program the Pauli-frame batched
+            # engine handles exactly that case — one reference tableau
+            # shot plus vectorised per-shot frames (see
+            # repro.quantum.pauli_frame).
+            return self._frame_batches(shots, max_instructions, stats,
+                                       plan)
+        self._relabel(stats, "interpreter", "; ".join(reasons))
+        return self._interpreter_batches(shots, max_instructions, stats,
+                                         plan)
+
+    def _relabel(self, stats: EngineStats, engine: str, reason: str,
+                 degraded_from: str | None = None) -> None:
+        """Label the run's engine and why it left its fast path; a run
+        that ``degraded_from`` an engine mid-run also records the
+        degradation rung and emits a ``machine.degradation`` event."""
+        stats.engine = engine
+        stats.fallback_reason = reason
+        if degraded_from is not None:
+            stats.degradations.append(
+                f"{degraded_from} -> interpreter: {reason}")
+            if self._obs is not None:
+                self._obs.event("machine.degradation",
+                                engine=degraded_from, detail=reason)
 
     def _interpreter_batches(self, shots: int, max_instructions: int,
                              stats: EngineStats,
-                             plan: FaultPlan | None
-                             ) -> Iterator[ShotBatch]:
-        """Every shot on the cycle-faithful interpreter, one batch of
-        one trace per shot."""
+                             plan: FaultPlan | None,
+                             start: int = 0) -> Iterator[ShotBatch]:
+        """Shots ``start`` to ``shots - 1`` on the cycle-faithful
+        interpreter, one batch of one trace per shot."""
         obs = self._obs
         shot_time = (None if obs is None else obs.metrics.histogram(
             "engine.interpreter.shot.time_ns"))
         clock = None if obs is None else obs.tracer.clock
         try:
-            for shot_index in range(shots):
+            for shot_index in range(start, shots):
                 if plan is not None:
                     plan.begin_shot(shot_index)
                 if shot_time is None:
@@ -591,9 +610,9 @@ class QuMAv2:
                         plan: FaultPlan | None) -> Iterator[ShotBatch]:
         """The branch-resolved replay engine: one batch per shot — a
         cached walk's terminal template and sampled outcome row, or the
-        trace of a growth, audited or degraded interpreter shot."""
-        self.last_run_engine = "replay"
-        self.replay_fallback_reason = None
+        trace of a growth or audited interpreter shot.  A confirmed
+        audit divergence hands the rest of the run to
+        :meth:`_interpreter_batches`."""
         stats.engine = "replay"
         report = self.data_memory_report()  # memoised: reasons used it
         stats.dead_stores = report.dead_store_count
@@ -607,7 +626,6 @@ class QuMAv2:
         stats.growth_stopped_reason = tree.growth_stopped_reason
         measurement_unit = self.measurement_unit
         mock_clamp = self._mock_fingerprint_clamp(tree.max_depth)
-        degraded_reason = None
         replayed = 0  # shots served from the tree, for the run's label
         obs = self._obs
         walk_total_ns = 0
@@ -631,11 +649,6 @@ class QuMAv2:
             for shot_index in range(shots):
                 if plan is not None:
                     plan.begin_shot(shot_index)
-                if degraded_reason is not None:
-                    # A confirmed audit divergence invalidated the
-                    # tree; the rest of the run is interpreter-only.
-                    yield ShotBatch.single(self.run_shot(max_instructions))
-                    continue
                 if plan is not None and plan.would_fire("tree_bitflip"):
                     detail = tree.corrupt_random_template(plan.rng)
                     if detail is not None:
@@ -681,22 +694,22 @@ class QuMAv2:
                             shot_index=shot_index,
                             mismatched_fields=tuple(mismatched),
                             tree_evicted=True, detail=detail)
-                        degraded_reason = (
+                        # The tree is invalid: the rest of the run is
+                        # interpreter-only.
+                        self._relabel(
+                            stats,
+                            "replay" if replayed else "interpreter",
                             f"replay audit divergence at shot "
-                            f"{shot_index} "
-                            f"({', '.join(mismatched)})")
-                        stats.degradations.append(
-                            f"replay -> interpreter: "
-                            f"{degraded_reason}")
-                        if obs is not None:
-                            obs.event("machine.degradation",
-                                      engine="replay",
-                                      detail=degraded_reason)
+                            f"{shot_index} ({', '.join(mismatched)})",
+                            degraded_from="replay")
                         self._evict_tree(tree)
                         if shadow is None:
                             shadow = self.run_shot(max_instructions)
                         yield ShotBatch.single(shadow)
-                        continue
+                        yield from self._interpreter_batches(
+                            shots, max_instructions, stats, plan,
+                            start=shot_index + 1)
+                        return
                     stats.last_audit = ReplayAudit(
                         shot_index=shot_index, mismatched_fields=(),
                         tree_evicted=False)
@@ -738,13 +751,6 @@ class QuMAv2:
                 # let the tree leak into later runs through the
                 # cross-run cache.
                 self._evict_tree(tree)
-        if degraded_reason is not None:
-            self.replay_fallback_reason = degraded_reason
-            stats.fallback_reason = degraded_reason
-            if replayed == 0:
-                stats.engine = "interpreter"
-                self.last_run_engine = "interpreter"
-            return
         if replayed == 0:
             # The replay engine was selected but every shot ended up a
             # growth (interpreter) shot — e.g. the outcome paths exceed
@@ -755,10 +761,7 @@ class QuMAv2:
                       "interpreter growth shot")
             if tree.growth_stopped_reason is not None:
                 reason += f" ({tree.growth_stopped_reason})"
-            stats.engine = "interpreter"
-            stats.fallback_reason = reason
-            self.last_run_engine = "interpreter"
-            self.replay_fallback_reason = reason
+            self._relabel(stats, "interpreter", reason)
 
     #: Trace fields the self-verifying audit compares bit-for-bit.
     _AUDIT_FIELDS = ("triggers", "results", "slips",
@@ -850,10 +853,9 @@ class QuMAv2:
         if self._data_memory_report is None:
             obs = self._obs
             dataflow_start = obs.clock() if obs is not None else 0
-            slots = [self._measurement_slot_count(instruction)
-                     for instruction in self._instructions]
             self._data_memory_report = analyze_data_memory(
-                self._instructions, measurement_slots=slots)
+                self._instructions,
+                measurement_slots=self._binary_scan().measurement_slots)
             self._dataflow_cache[self._binary_key] = \
                 self._data_memory_report
             while len(self._dataflow_cache) > _DATAFLOW_CACHE_CAPACITY:
@@ -864,20 +866,13 @@ class QuMAv2:
                 obs.metrics.inc("machine.dataflow_cache.misses")
         return self._data_memory_report
 
-    def _measurement_slot_count(self, instruction: Instruction) -> int:
-        """Measurement micro-operations one execution of the
-        instruction triggers (untranslatable slots count zero — such
-        programs are blocked from replay elsewhere)."""
-        if not isinstance(instruction, Bundle):
-            return 0
-        total = 0
-        for slot in instruction.operations:
-            try:
-                micro_ops = self.microcode.translate_name(slot.name)
-            except Exception:
-                continue
-            total += sum(op.is_measurement for op in micro_ops)
-        return total
+    def _binary_scan(self) -> BinaryScan:
+        """The loaded binary's selection facts (measurement slots,
+        untranslatable/non-Clifford/conditional operations), scanned
+        once per :meth:`load`."""
+        if self._scan is None:
+            self._scan = BinaryScan.of(self._instructions, self.microcode)
+        return self._scan
 
     def _mock_fingerprint_clamp(self, max_depth: int) -> int:
         """Per-qubit clamp for mock-cursor fingerprints (see
@@ -914,40 +909,7 @@ class QuMAv2:
         the next :meth:`load`; the noise verdict is re-read per call so
         a swapped ``plant.noise`` is honoured immediately.
         """
-        if self._plant_backend_reasons is None:
-            reasons: list[str] = []
-            if not self._instructions:
-                reasons.append("no program loaded")
-            checked: set[str] = set()
-            for instruction in self._instructions:
-                if not isinstance(instruction, Bundle):
-                    continue
-                for slot in instruction.operations:
-                    if slot.name in checked:
-                        continue
-                    checked.add(slot.name)
-                    try:
-                        micro_ops = self.microcode.translate_name(
-                            slot.name)
-                    except Exception:
-                        reasons.append(
-                            f"operation {slot.name!r} is not translatable")
-                        continue
-                    for micro_op in micro_ops:
-                        if micro_op.is_measurement:
-                            continue
-                        operation = self.isa.operations.get(
-                            micro_op.operation)
-                        if operation.unitary is None:
-                            continue
-                        if cached_clifford_action(
-                                operation.unitary) is None:
-                            reasons.append(
-                                f"operation {micro_op.operation!r} is "
-                                f"not Clifford")
-                            break
-            self._plant_backend_reasons = reasons
-        reasons = list(self._plant_backend_reasons)
+        reasons = list(self._binary_scan().tableau_blockers)
         if not self.plant.noise.is_pauli_plus_readout:
             reasons.append(
                 "noise model has non-Pauli idle decoherence (T1/T2)")
@@ -1088,16 +1050,15 @@ class QuMAv2:
         on the interpreter (which the tableau still accelerates).  With
         zero gate error the tableau is deterministic given the outcome
         history and both fast paths compound."""
-        reasons = replay_unsupported_reasons(
-            self._instructions, self.microcode,
-            data_memory_report=self.data_memory_report())
-        kind, _ = self._select_plant_backend()
-        if kind == "stabilizer" and \
+        return self._replay_reasons(self._select_plant_backend()[0])
+
+    def _replay_reasons(self, backend_kind: str) -> list[str]:
+        """:meth:`replay_unsupported_reasons` for a selected backend."""
+        reasons = self._binary_scan().replay_reasons(
+            self.data_memory_report())
+        if backend_kind == "stabilizer" and \
                 not self.plant.noise.gate_error.is_zero:
-            reasons.append(
-                "stochastic Pauli gate noise on the stabilizer backend "
-                "(per-shot trajectory sampling outside the outcome "
-                "history)")
+            reasons.append(_PAULI_TRAJECTORY_REASON)
         return reasons
 
     def replay_unsupported_reason(self) -> str | None:
@@ -1120,34 +1081,12 @@ class QuMAv2:
         stabilizer backend with nonzero Pauli gate error — the one
         regime replay cannot serve.
         """
-        reasons = replay_unsupported_reasons(
-            self._instructions, self.microcode,
-            data_memory_report=self.data_memory_report())
-        conditional: list[str] = []
-        has_fmr = False
-        for instruction in self._instructions:
-            if isinstance(instruction, Fmr):
-                has_fmr = True
-                continue
-            if not isinstance(instruction, Bundle):
-                continue
-            for slot in instruction.operations:
-                try:
-                    micro_ops = self.microcode.translate_name(slot.name)
-                except Exception:
-                    continue  # already a replay blocker above
-                for micro_op in micro_ops:
-                    if micro_op.condition is not ExecutionFlag.ALWAYS \
-                            and slot.name not in conditional:
-                        conditional.append(slot.name)
-        if has_fmr:
-            reasons.append(
-                "FMR feedback can fork the Clifford sequence on "
-                "per-shot outcomes")
-        for name in conditional:
-            reasons.append(
-                f"operation {name!r} executes conditionally (the gate "
-                f"sequence forks on per-shot outcomes)")
+        return (self._binary_scan().replay_reasons(
+            self.data_memory_report()) + self._frame_only_reasons())
+
+    def _frame_only_reasons(self) -> list[str]:
+        """The blockers the frame engine adds to replay's own."""
+        reasons = list(self._binary_scan().frame_blockers)
         if self.measurement_unit.has_any_mock_results():
             reasons.append(
                 "injected mock results vary across shots as their "
@@ -1175,9 +1114,6 @@ class QuMAv2:
         :attr:`EngineStats.degradations`.
         """
         stats.engine = "frame"
-        stats.fallback_reason = None
-        self.last_run_engine = "frame"
-        self.replay_fallback_reason = None
         obs = self._obs
         backend = self.plant.backend
         recorder = FrameRecorder()
@@ -1212,15 +1148,8 @@ class QuMAv2:
                 f"measurements but the reference trace holds "
                 f"{len(template.results)}")
         if degraded_reason is not None:
-            stats.degradations.append(
-                f"frame -> interpreter: {degraded_reason}")
-            if obs is not None:
-                obs.event("machine.degradation", engine="frame",
-                          detail=degraded_reason)
-            stats.engine = "interpreter"
-            stats.fallback_reason = degraded_reason
-            self.last_run_engine = "interpreter"
-            self.replay_fallback_reason = degraded_reason
+            self._relabel(stats, "interpreter", degraded_reason,
+                          degraded_from="frame")
             yield from self._interpreter_batches(shots, max_instructions,
                                                  stats, plan)
             return

@@ -77,8 +77,9 @@ cannot model — force the interpreter for the entire run; see
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
-from typing import Iterable
+from typing import Iterable, Sequence
 
+from repro.core.errors import ConfigurationError
 from repro.core.instructions import (
     ArithOp,
     Br,
@@ -101,12 +102,11 @@ from repro.core.instructions import (
     Stop,
 )
 from repro.core.microcode import MicrocodeUnit
+from repro.core.operations import ExecutionFlag
 from repro.quantum.plant import QuantumPlant
+from repro.quantum.stabilizer import cached_clifford_action
 from repro.uarch.dataflow import analyze_data_memory
 from repro.uarch.trace import ShotTrace
-
-#: Name under which the plant logs projective measurements.
-MEASUREMENT_LOG_NAME = "MEASZ"
 
 #: Probabilities closer than this to 0/1 are treated as deterministic
 #: when sampling a node, so a forced interpreter continuation can never
@@ -168,8 +168,8 @@ class EngineStats:
     #: blocker forced the cycle-accurate interpreter for every shot,
     #: None before any shot ran.
     engine: str | None = None
-    #: All hard-blocker reasons ("; "-joined) when ``engine`` is
-    #: "interpreter"; None on the replay path.
+    #: Why the run left its fast engine: all hard-blocker reasons
+    #: ("; "-joined) or the degradation; None when it did not.
     fallback_reason: str | None = None
     #: Which plant backend held the quantum state for this run:
     #: "stabilizer" (Gottesman–Knill tableau — Clifford binary plus
@@ -344,6 +344,92 @@ class MeasurementSample:
     mocked: bool = False
 
 
+@dataclass(frozen=True, slots=True)
+class BinaryScan:
+    """What engine selection reads from a binary, gathered in one pass.
+
+    Quantum operations are configured at compile time (the microcode
+    unit's fixed Q control store), so these facts follow from the
+    binary and the operation set alone: the machine scans once per
+    ``load()``.  Each distinct slot name is translated once, and the
+    reasons name operations in the order the binary first uses them.
+    """
+
+    #: Measurement micro-operations one execution of each instruction
+    #: triggers (an untranslatable slot counts zero).
+    measurement_slots: tuple[int, ...]
+    #: Untranslatable operations, then classical instructions the
+    #: replay engine cannot model.
+    replay_blockers: tuple[str, ...]
+    #: Why the stabilizer tableau cannot hold the binary's state.
+    tableau_blockers: tuple[str, ...]
+    #: Why the one Clifford sequence the Pauli-frame engine records
+    #: could fork per shot (``FMR``, conditional micro-operations).
+    frame_blockers: tuple[str, ...]
+
+    @classmethod
+    def of(cls, instructions: Sequence[Instruction],
+           microcode: MicrocodeUnit) -> "BinaryScan":
+        translated: dict[str, tuple | None] = {}
+        slots: list[int] = []
+        unsupported: list[str] = []
+        has_fmr = False
+        for instruction in instructions:
+            measurements = 0
+            if isinstance(instruction, Bundle):
+                for slot in instruction.operations:
+                    if slot.name not in translated:
+                        try:
+                            translated[slot.name] = \
+                                microcode.translate_name(slot.name)
+                        except ConfigurationError:
+                            translated[slot.name] = None
+                    measurements += sum(
+                        micro_op.is_measurement
+                        for micro_op in translated[slot.name] or ())
+            elif isinstance(instruction, Fmr):
+                has_fmr = True
+            elif not isinstance(instruction, _REPLAYABLE_CLASSICAL):
+                unsupported.append(
+                    f"unsupported instruction {type(instruction).__name__}")
+            slots.append(measurements)
+        untranslatable: list[str] = []
+        tableau: list[str] = [] if slots else ["no program loaded"]
+        frame = (["FMR feedback can fork the Clifford sequence on "
+                  "per-shot outcomes"] if has_fmr else [])
+        for name, micro_ops in translated.items():
+            if micro_ops is None:
+                untranslatable.append(f"operation {name!r} is not "
+                                      f"translatable")
+                tableau.append(untranslatable[-1])
+                continue
+            if any(micro_op.condition is not ExecutionFlag.ALWAYS
+                   for micro_op in micro_ops):
+                frame.append(f"operation {name!r} executes conditionally "
+                             f"(the gate sequence forks on per-shot "
+                             f"outcomes)")
+            for micro_op in micro_ops:
+                if micro_op.is_measurement:
+                    continue
+                unitary = microcode.operations.get(
+                    micro_op.operation).unitary
+                if unitary is not None and \
+                        cached_clifford_action(unitary) is None:
+                    tableau.append(f"operation {micro_op.operation!r} "
+                                   f"is not Clifford")
+                    break
+        return cls(tuple(slots),
+                   tuple(untranslatable + list(dict.fromkeys(unsupported))),
+                   tuple(tableau), tuple(frame))
+
+    def replay_reasons(self, data_memory_report) -> list[str]:
+        """The hard replay blockers, given the binary's dataflow report
+        (see :func:`replay_unsupported_reasons`)."""
+        if not self.measurement_slots:
+            return ["no program loaded"]
+        return [*data_memory_report.live_reasons, *self.replay_blockers]
+
+
 def replay_unsupported_reasons(
         instructions: Iterable[Instruction],
         microcode: MicrocodeUnit,
@@ -365,30 +451,10 @@ def replay_unsupported_reasons(
     memoises it per binary) avoid recomputing it.
     """
     instructions = list(instructions)
-    if not instructions:
-        return ["no program loaded"]
-    if data_memory_report is None:
+    if instructions and data_memory_report is None:
         data_memory_report = analyze_data_memory(instructions)
-    reasons: list[str] = list(data_memory_report.live_reasons)
-    untranslatable: list[str] = []
-    unsupported: list[str] = []
-    for instruction in instructions:
-        if isinstance(instruction, Bundle):
-            for slot in instruction.operations:
-                try:
-                    microcode.translate_name(slot.name)
-                except Exception:
-                    if slot.name not in untranslatable:
-                        untranslatable.append(slot.name)
-        elif not isinstance(instruction, _REPLAYABLE_CLASSICAL):
-            name = type(instruction).__name__
-            if name not in unsupported:
-                unsupported.append(name)
-    for name in untranslatable:
-        reasons.append(f"operation {name!r} is not translatable")
-    for name in unsupported:
-        reasons.append(f"unsupported instruction {name}")
-    return reasons
+    return BinaryScan.of(instructions, microcode).replay_reasons(
+        data_memory_report)
 
 
 class _TreeNode:

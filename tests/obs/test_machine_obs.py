@@ -170,6 +170,28 @@ class TestTracedFrameRun:
                        for span in obs.tracer.spans())
 
 
+class TestTracedAuditDegradation:
+    def test_degraded_tail_shots_are_timed(self):
+        """After an audit divergence the rest of the run is
+        interpreter-only, and each of those shots lands in the
+        interpreter shot-time histogram."""
+        obs = Observability()
+        machine = make_machine(seed=5, observability=obs)
+        machine.audit_fraction = 0.25
+        machine.arm_faults(FaultPlan([FaultSpec("tree_bitflip", shot=40)],
+                                     seed=11))
+        shots = 400
+        machine.run_counts(shots)
+        stats = machine.engine_stats
+        assert stats.audit_divergences == 1
+        tail = shots - stats.last_audit.shot_index - 1
+        assert tail > 0
+        snapshot = obs.snapshot()
+        assert snapshot["engine.interpreter.shot.time_ns"]["count"] == tail
+        assert any(event.name == "machine.degradation"
+                   for event in obs.tracer.events())
+
+
 class TestDegradationEvents:
     def test_resilient_ladder_emits_structured_events(self):
         """Satellite: every degradation-ladder rung taken by

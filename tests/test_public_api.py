@@ -139,3 +139,17 @@ class TestDeliberateApiDeltas:
         assert list(inspect.signature(replay_unsupported_reasons)
                     .parameters) == ["instructions", "microcode",
                                      "data_memory_report"]
+
+    def test_run_labels_are_read_only_views_of_engine_stats(self):
+        import numpy as np
+        from repro.core import two_qubit_instantiation
+        from repro.quantum import NoiseModel, QuantumPlant
+        from repro.uarch import QuMAv2
+        isa = two_qubit_instantiation()
+        machine = QuMAv2(isa, QuantumPlant(isa.topology, noise=NoiseModel(),
+                                           rng=np.random.default_rng(0)))
+        for name in ("last_run_engine", "replay_fallback_reason",
+                     "last_plant_backend", "plant_backend_reason"):
+            assert getattr(machine, name) is None
+            with pytest.raises(AttributeError):
+                setattr(machine, name, "interpreter")

@@ -7,13 +7,30 @@ measurement distributions.  Feedback programs (fast conditional
 execution, CFC) must transparently fall back to the interpreter.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from repro.core import Assembler, seven_qubit_instantiation, \
     two_qubit_instantiation
+from repro.core.instructions import (
+    Bundle,
+    BundleOperation,
+    Fmr,
+    Instruction,
+    QWait,
+    Stop,
+)
+from repro.core.microcode import MicrocodeUnit
 from repro.quantum import NoiseModel, QuantumPlant
-from repro.uarch import QuMAv2, ShotCounts, slip_config
+from repro.uarch import (
+    QuMAv2,
+    ShotCounts,
+    replay_unsupported_reasons,
+    slip_config,
+)
+from repro.uarch.replay import BinaryScan
 
 
 def make_machine(isa=None, noise=None, seed=0, config=None):
@@ -280,6 +297,49 @@ class TestReplayFallback:
         load(machine, ACTIVE_RESET)
         for trace in machine.run(30):
             assert trace.last_result(2) == 0  # noiseless reset is perfect
+
+    def test_scan_reports_every_blocker_in_first_use_order(self):
+        """One pass over a binary the assembler would refuse: unknown
+        operation names, classical instructions replay cannot model,
+        non-Clifford and conditional slots and an FMR.  Each reason
+        appears once, in the order the binary first uses it."""
+        @dataclass(frozen=True)
+        class Weird(Instruction):
+            pass
+
+        @dataclass(frozen=True)
+        class Odd(Instruction):
+            pass
+
+        def bundle(*names):
+            return Bundle(tuple(BundleOperation(name, ("S", 2))
+                                for name in names))
+
+        instructions = [
+            QWait(10000), bundle("BOGUS", "X90", "T"), Weird(),
+            bundle("C_X", "ZZZ", "MEASZ"), Fmr(1, 2), Odd(),
+            bundle("BOGUS", "T", "C0_X", "MEASZ"), Weird(), Stop()]
+        microcode = MicrocodeUnit(two_qubit_instantiation().operations)
+        scan = BinaryScan.of(instructions, microcode)
+        assert scan.measurement_slots == (0, 0, 0, 1, 0, 0, 1, 0, 0)
+        assert replay_unsupported_reasons(instructions, microcode) == [
+            "operation 'BOGUS' is not translatable",
+            "operation 'ZZZ' is not translatable",
+            "unsupported instruction Weird",
+            "unsupported instruction Odd"]
+        assert scan.tableau_blockers == (
+            "operation 'BOGUS' is not translatable",
+            "operation 'T' is not Clifford",
+            "operation 'ZZZ' is not translatable")
+        assert scan.frame_blockers == (
+            "FMR feedback can fork the Clifford sequence on per-shot "
+            "outcomes",
+            "operation 'C_X' executes conditionally (the gate sequence "
+            "forks on per-shot outcomes)",
+            "operation 'C0_X' executes conditionally (the gate sequence "
+            "forks on per-shot outcomes)")
+        assert replay_unsupported_reasons([], microcode) == [
+            "no program loaded"]
 
 
 class TestShotCountsAndIteration:

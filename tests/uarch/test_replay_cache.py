@@ -6,13 +6,15 @@ tree across ``run()`` calls.  The dangerous failure mode is a *stale*
 tree: reusing cached probabilities/readout after the noise model or
 configuration changed would silently corrupt the emitted distribution —
 these tests pin the invalidation behaviour.  The file also covers the
-mid-stream :class:`EngineStats` snapshot used by long sweeps.
+mid-stream :class:`EngineStats` snapshot used by long sweeps, and the
+work engine selection does per run once a binary is scanned.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import Assembler, two_qubit_instantiation
+from repro.core.microcode import MicrocodeUnit
 from repro.experiments.reset import FIG4_PROGRAM as ACTIVE_RESET
 from repro.quantum import NoiseModel, QuantumPlant
 from repro.uarch import QuMAv2, slip_config
@@ -293,3 +295,54 @@ class TestEngineStatsSnapshot:
         assert len(mid_flight) == 1
         assert mid_flight[0].shots_total == 15
         assert setup.last_engine_stats.shots_total == 30
+
+
+def count_calls(monkeypatch, cls, name):
+    """Wrap ``cls.name`` so every call is appended to the returned list."""
+    calls = []
+    original = getattr(cls, name)
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counting)
+    return calls
+
+
+class TestSelectionWorkCounts:
+    """Engine selection reads one per-binary scan, memoised until the
+    next load(): once a binary has run, neither the reason queries nor
+    a warm cached-replay run translate any operation again, and each
+    run selects its plant backend exactly once."""
+
+    def test_reason_queries_after_first_run_translate_nothing(
+            self, monkeypatch):
+        machine = make_machine(seed=3)
+        load(machine, ACTIVE_RESET)
+        machine.run_counts(50)
+        calls = count_calls(monkeypatch, MicrocodeUnit, "translate_name")
+        machine.plant_backend_reasons()
+        machine.replay_unsupported_reasons()
+        machine.frame_batch_unsupported_reasons()
+        assert calls == []
+
+    def test_warm_cached_replay_run_translates_nothing(self, monkeypatch):
+        machine = make_machine(seed=3)
+        load(machine, ACTIVE_RESET)
+        machine.run_counts(50)
+        calls = count_calls(monkeypatch, MicrocodeUnit, "translate_name")
+        machine.run_counts(50)
+        stats = machine.engine_stats
+        assert stats.engine == "replay" and stats.tree_reused
+        assert stats.interpreter_shots == 0 and stats.replay_shots == 50
+        assert calls == []
+
+    def test_plant_backend_selected_once_per_run(self, monkeypatch):
+        calls = count_calls(monkeypatch, QuMAv2, "_select_plant_backend")
+        machine = make_machine(seed=3)
+        load(machine, ACTIVE_RESET)
+        machine.run_counts(50)
+        assert len(calls) == 1
+        machine.run_counts(50)
+        assert len(calls) == 2

@@ -13,6 +13,7 @@ equals the fold of ``run_iter`` on every engine, with matching
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -251,3 +252,111 @@ class TestRunCountsMatchesRunIter:
         machine.run(20)
         assert machine.run_counts(0) == ShotCounts()
         assert machine.last_run_engine is None
+
+
+# ----------------------------------------------------------------------
+# One run record: the machine's run labels are views of EngineStats
+# ----------------------------------------------------------------------
+#: LD above the only ST to its address: a hard replay blocker.
+LIVE_LOAD = """
+SMIS S2, {2}
+LDI R6, 256
+QWAIT 10000
+LD R7, R6(0)
+ST R0, R6(0)
+X90 S2
+MEASZ S2
+QWAIT 50
+STOP
+"""
+
+#: 70 measurements per shot exceed the tree's depth cap, so every shot
+#: of a replay run is a growth shot.
+ALL_GROWTH = """
+SMIS S2, {2}
+LDI R0, 70
+LDI R1, 1
+QWAIT 10000
+loop:
+MEASZ S2
+QWAIT 50
+SUB R0, R0, R1
+CMP R0, R1
+BR GE, loop
+QWAIT 50
+STOP
+"""
+
+
+def frame_machine_with_fault(seed):
+    machine = frame_machine(seed)
+    machine.arm_faults(FaultPlan([FaultSpec("backend_gate", shot=0)]))
+    return machine
+
+
+def assert_labels_are_engine_stats(machine):
+    stats = machine.engine_stats
+    assert machine.last_run_engine == stats.engine
+    assert machine.replay_fallback_reason == stats.fallback_reason
+    assert machine.last_plant_backend == stats.plant_backend
+    assert machine.plant_backend_reason == stats.plant_backend_reason
+
+
+class TestRunRecord:
+    @pytest.mark.parametrize("make, shots, engine, has_reason, rung", [
+        (lambda: dense_machine(LIVE_LOAD, seed=1), 20, "interpreter",
+         True, None),
+        (lambda: dense_machine(FIG4_PROGRAM, seed=2), 100, "replay",
+         False, None),
+        (lambda: dense_machine(ALL_GROWTH, seed=3), 3, "interpreter",
+         True, None),
+        (lambda: dense_machine(
+            FIG4_PROGRAM, seed=5, audit_fraction=0.25,
+            plan=FaultPlan([FaultSpec("tree_bitflip", shot=40)],
+                           seed=11)), 400, "replay", True,
+         "replay -> interpreter"),
+        (lambda: frame_machine(seed=6), 50, "frame", False, None),
+        (lambda: frame_machine_with_fault(seed=6), 30, "interpreter",
+         True, "frame -> interpreter"),
+        (lambda: dense_machine(FIG4_PROGRAM, seed=7), 0, None, False,
+         None),
+    ], ids=["static-blocker", "replay", "all-growth", "audit-divergence",
+            "frame", "frame-reference-fault", "zero-shots"])
+    def test_labels_are_views_of_engine_stats(self, make, shots, engine,
+                                              has_reason, rung):
+        machine = make()
+        machine.run_counts(shots)
+        stats = machine.engine_stats
+        assert stats.engine == engine
+        assert (stats.fallback_reason is not None) == has_reason
+        assert [step.split(":")[0] for step in stats.degradations] == (
+            [rung] if rung else [])
+        assert_labels_are_engine_stats(machine)
+
+    def test_second_load_rescans_the_binary(self):
+        machine = frame_machine(seed=8)
+        machine.run_counts(20)
+        assert machine.last_run_engine == "frame"
+        assert machine.last_plant_backend == "stabilizer"
+        assert machine.plant_backend_reasons() == []
+        assert machine.frame_batch_unsupported_reasons() == []
+
+        machine.load(Assembler(machine.isa).assemble_text("""
+        SMIS S2, {2}
+        QWAIT 10000
+        T S2
+        MEASZ S2
+        QWAIT 50
+        C_X S2
+        STOP
+        """))
+        assert machine.plant_backend_reasons() == [
+            "operation 'T' is not Clifford"]
+        assert machine.frame_batch_unsupported_reasons() == [
+            "operation 'C_X' executes conditionally (the gate sequence "
+            "forks on per-shot outcomes)"]
+        machine.run_counts(20)
+        assert machine.last_plant_backend == "dense"
+        assert machine.plant_backend_reason == (
+            "operation 'T' is not Clifford")
+        assert_labels_are_engine_stats(machine)
